@@ -27,6 +27,12 @@ done
 go build ./...
 go test -race ./...
 
+# Wire-boundary fuzz: FuzzServeFrames feeds the serve session reader a
+# valid start line and then arbitrary bytes (binary frame records,
+# JSON lines, garbage) for a short fixed time. Its seed corpus under
+# internal/serve/testdata/fuzz/ already ran as plain tests above.
+go test -run '^$' -fuzz '^FuzzServeFrames$' -fuzztime 10s -parallel 2 ./internal/serve
+
 # Server smoke test: train a tiny model, start asrserve on a random
 # port, stream the test set through asrload (both race-built), then
 # SIGTERM and require a clean drain (exit 0). Pins the binaries'

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -68,6 +70,10 @@ type ClientSession struct {
 	enc   *json.Encoder
 	dec   *json.Decoder
 	model string // resolved variant name from the ready reply
+	// binary is set when the ready reply offered binary frame records;
+	// rec is the reused record buffer.
+	binary bool
+	rec    []byte
 }
 
 // Model returns the variant name the server resolved for this session
@@ -112,6 +118,7 @@ func Dial(addr string, opts SessionOptions) (*ClientSession, error) {
 	switch rep.Event {
 	case EventReady:
 		cs.model = rep.Model
+		cs.binary = rep.FrameEncoding == FrameEncodingF64LE
 		return cs, nil
 	case EventReject:
 		conn.Close()
@@ -127,11 +134,25 @@ func Dial(addr string, opts SessionOptions) (*ClientSession, error) {
 	}
 }
 
-// PushFrame streams one spliced feature vector. Replies (partials,
-// errors) are not read here — the stream stays write-only until
-// Finish, so frames pipeline without a per-frame round trip.
+// PushFrame streams one spliced feature vector: as a binary frame
+// record when the server offered one in its ready reply, else as a
+// JSON frame line. Replies (partials, errors) are not read here — the
+// stream stays write-only until Finish, so frames pipeline without a
+// per-frame round trip.
 func (cs *ClientSession) PushFrame(frame []float64) error {
-	return cs.send(Request{Op: OpFrame, Data: frame})
+	if !cs.binary {
+		return cs.send(Request{Op: OpFrame, Data: frame})
+	}
+	rec := append(cs.rec[:0], FrameTag)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(frame)))
+	for _, v := range frame {
+		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(v))
+	}
+	cs.rec = rec
+	if _, err := cs.bw.Write(rec); err != nil {
+		return err
+	}
+	return cs.bw.Flush()
 }
 
 // Finish ends the session and reads replies until the final result,

@@ -2,10 +2,14 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"os"
 	"time"
@@ -13,13 +17,14 @@ import (
 	"repro/internal/control"
 	"repro/internal/decoder"
 	"repro/internal/obs"
+	"repro/internal/registry"
 )
 
 // session is the per-connection state of one streaming decode.
 type session struct {
 	srv  *Server
 	conn net.Conn
-	dec  *json.Decoder
+	br   *bufio.Reader
 	bw   *bufio.Writer
 	enc  *json.Encoder
 
@@ -31,6 +36,14 @@ type session struct {
 	outDim   int
 	frameCtr *obs.Counter // per-model frame counter child
 
+	// frame and raw are the binary frame record buffers, sized by the
+	// pinned plan's InDim at admission (nil before). Records decode
+	// into them in place: score blocks until the batch holding the
+	// frame is done, so the next read cannot overwrite a frame still
+	// in use.
+	frame []float64
+	raw   []byte
+
 	// dcfg is the server's decode configuration plus this session's
 	// adaptive controller, if the handshake requested one.
 	dcfg decoder.Config
@@ -38,6 +51,10 @@ type session struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 }
+
+// maxLineBytes bounds one JSON message, so a peer that never sends a
+// newline cannot grow the read buffer without limit.
+const maxLineBytes = 4 << 20
 
 // handle runs one connection: admission, then the start/frame/finish
 // message loop. Every exit path sends a terminal reply (reject,
@@ -49,7 +66,7 @@ func (s *Server) handle(conn net.Conn) {
 	c := &session{
 		srv:  s,
 		conn: conn,
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
+		br:   bufio.NewReader(conn),
 		bw:   bufio.NewWriter(conn),
 	}
 	c.enc = json.NewEncoder(c.bw)
@@ -106,13 +123,39 @@ func (s *Server) handle(conn net.Conn) {
 		})
 		return
 	}
-	defer s.release()
+	// The drain WaitGroup is held until the final reply is flushed, so
+	// Shutdown still delivers every result. Everything else the session
+	// holds is handed back by decode, before that reply is written.
+	defer s.sessions.Done()
+
+	sp := obsRequestTime.Start()
+	if final, ok := c.decode(req, variant); ok {
+		if err := c.reply(final); err != nil {
+			obsErrors.Inc()
+		}
+	}
+	sp.Stop()
+}
+
+// decode runs an admitted session: it pins the variant's plan, sends
+// ready, and streams frames until finish or failure. Before it
+// returns it hands back the decode session, the plan pin and the
+// admission slot, and on success counts the session served. Only
+// then does the caller write the returned result, so a client that
+// has read its result can redial at once and be admitted, and Served
+// already counts it. ok is false when the session failed; its error
+// reply has been sent.
+func (c *session) decode(req Request, variant *registry.Variant) (final Reply, ok bool) {
+	s := c.srv
+	defer s.freeSlot()
 
 	plan, pb := s.acquireBatcher(variant)
 	defer s.releaseBatcher(plan, pb)
 	c.pb = pb
 	c.inDim = plan.InDim()
 	c.outDim = plan.OutDim()
+	c.frame = make([]float64, c.inDim)
+	c.raw = make([]byte, 8*c.inDim)
 	c.frameCtr = obsModelFrames.With(variant.Name())
 
 	obsSessionsTotal.Inc()
@@ -127,43 +170,44 @@ func (s *Server) handle(conn net.Conn) {
 	c.ctx, c.cancel = context.WithTimeout(context.Background(), deadline)
 	defer c.cancel()
 
-	if err := c.reply(Reply{Event: EventReady, Session: req.ID, Model: variant.Name()}); err != nil {
+	ready := Reply{Event: EventReady, Session: req.ID, Model: variant.Name(), FrameEncoding: FrameEncodingF64LE}
+	if err := c.reply(ready); err != nil {
 		obsErrors.Inc()
-		return
+		return Reply{}, false
 	}
-	sp := obsRequestTime.Start()
-	c.run(req.PartialEvery)
-	sp.Stop()
-}
 
-// run drives the decode loop after admission.
-func (c *session) run(partialEvery int) {
-	dec := c.srv.takeSession(c.dcfg)
-	defer c.srv.putSession(dec)
+	partialEvery := req.PartialEvery
+	dec := s.takeSession(c.dcfg)
+	defer s.putSession(dec)
 	scores := make([]float64, c.outDim)
 	frames := 0
 	for {
 		req, err := c.read()
 		if err != nil {
 			c.fail(err)
-			return
+			return Reply{}, false
 		}
 		switch req.Op {
 		case OpFrame:
 			if len(req.Data) != c.inDim {
 				c.fail(fmt.Errorf("frame has %d features, model wants %d", len(req.Data), c.inDim))
-				return
+				return Reply{}, false
+			}
+			if i := nonFinite(req.Data); i >= 0 {
+				obsBadFrames.Inc()
+				c.fail(fmt.Errorf("frame %d: feature %d is %v, features must be finite", frames, i, req.Data[i]))
+				return Reply{}, false
 			}
 			// One in-flight frame per session: score (possibly batched
 			// with other sessions' frames on the same pinned plan), then
 			// advance the search.
 			if err := c.pb.score(c.ctx, req.Data, scores); err != nil {
 				c.fail(err)
-				return
+				return Reply{}, false
 			}
 			if err := dec.PushFrame(scores); err != nil {
 				c.fail(err)
-				return
+				return Reply{}, false
 			}
 			frames++
 			c.frameCtr.Inc()
@@ -171,33 +215,28 @@ func (c *session) run(partialEvery int) {
 				words, _ := dec.Partial()
 				if err := c.reply(Reply{Event: EventPartial, Words: words, Frames: frames}); err != nil {
 					obsErrors.Inc()
-					return
+					return Reply{}, false
 				}
 			}
 		case OpFinish:
 			res := dec.Finish()
-			err := c.reply(Reply{
+			s.served.Add(1)
+			return Reply{
 				Event:  EventResult,
 				OK:     res.OK,
 				Words:  res.Words,
 				Cost:   res.Cost,
 				Frames: frames,
-			})
-			if err != nil {
-				obsErrors.Inc()
-				return
-			}
-			c.srv.served.Add(1)
-			return
+			}, true
 		default:
 			c.fail(fmt.Errorf("unknown op %q", req.Op))
-			return
+			return Reply{}, false
 		}
 	}
 }
 
-// read decodes the next request under the idle timeout and the
-// session deadline, mapping expiry to a deadline error.
+// read returns the next client message under the idle timeout and
+// the session deadline, mapping expiry to a deadline error.
 func (c *session) read() (Request, error) {
 	limit := time.Now().Add(c.srv.cfg.IdleTimeout)
 	if c.ctx != nil {
@@ -206,8 +245,8 @@ func (c *session) read() (Request, error) {
 		}
 	}
 	_ = c.conn.SetReadDeadline(limit)
-	var req Request
-	if err := c.dec.Decode(&req); err != nil {
+	req, err := c.next()
+	if err != nil {
 		if c.ctx != nil && c.ctx.Err() != nil {
 			return req, context.DeadlineExceeded
 		}
@@ -218,6 +257,100 @@ func (c *session) read() (Request, error) {
 		return req, err
 	}
 	return req, nil
+}
+
+// next decodes one message: a binary frame record if it starts with
+// FrameTag, otherwise a JSON line (blank lines are skipped).
+func (c *session) next() (Request, error) {
+	for {
+		tag, err := c.br.Peek(1)
+		if err != nil {
+			return Request{}, err
+		}
+		if tag[0] == FrameTag {
+			return c.readRecord()
+		}
+		line, err := c.readLine()
+		if len(bytes.TrimSpace(line)) == 0 {
+			if err != nil {
+				return Request{}, err
+			}
+			continue
+		}
+		if err != nil && err != io.EOF {
+			return Request{}, err
+		}
+		// A last line without its newline still counts, as it did
+		// for a streaming JSON decoder.
+		var req Request
+		if err := json.Unmarshal(line, &req); err != nil {
+			return Request{}, fmt.Errorf("bad request: %w", err)
+		}
+		return req, nil
+	}
+}
+
+// readLine reads up to and including the next newline, refusing a
+// line longer than maxLineBytes.
+func (c *session) readLine() ([]byte, error) {
+	var line []byte
+	for {
+		frag, err := c.br.ReadSlice('\n')
+		if len(line)+len(frag) > maxLineBytes {
+			return nil, fmt.Errorf("request line longer than %d bytes", maxLineBytes)
+		}
+		line = append(line, frag...)
+		if err != bufio.ErrBufferFull {
+			return line, err
+		}
+	}
+}
+
+// readRecord decodes one binary frame record into the session's frame
+// buffer and returns it as a frame request. The header's count is
+// checked against InDim before any payload is read, so a peer's
+// count never sizes anything. Before admission there is no buffer:
+// the record is returned unread and the caller refuses it by op.
+func (c *session) readRecord() (Request, error) {
+	req := Request{Op: OpFrame}
+	if c.frame == nil {
+		return req, nil
+	}
+	hdr, err := c.br.Peek(frameHeaderLen)
+	if err != nil {
+		return req, truncated(err)
+	}
+	if n := binary.LittleEndian.Uint32(hdr[1:]); uint64(n) != uint64(len(c.frame)) {
+		return req, fmt.Errorf("frame record has %d features, model wants %d", n, len(c.frame))
+	}
+	_, _ = c.br.Discard(frameHeaderLen)
+	if _, err := io.ReadFull(c.br, c.raw); err != nil {
+		return req, truncated(err)
+	}
+	for i := range c.frame {
+		c.frame[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.raw[8*i:]))
+	}
+	req.Data = c.frame
+	return req, nil
+}
+
+// truncated names a record cut short by the end of the stream.
+func truncated(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("truncated frame record: %w", io.ErrUnexpectedEOF)
+	}
+	return err
+}
+
+// nonFinite returns the index of the first NaN or ±Inf feature, or
+// -1 if every feature is finite.
+func nonFinite(x []float64) int {
+	for i, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // fail reports a session-fatal condition to the client and the

@@ -21,6 +21,8 @@ var (
 		"acoustic frames scored, per model variant")
 	obsErrors = obs.NewCounter("serve.errors", "errors",
 		"sessions ended by a protocol or I/O error")
+	obsBadFrames = obs.NewCounter("serve.bad_frames", "frames",
+		"frames refused at the wire for a NaN or ±Inf feature (the session ends with an error)")
 	obsDeadlineExceeded = obs.NewCounter("serve.deadline_exceeded", "sessions",
 		"sessions aborted by the per-request deadline or idle timeout")
 	obsBatchSize = obs.NewHistogram("serve.batch_size", "frames",

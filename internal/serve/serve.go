@@ -179,7 +179,7 @@ type Server struct {
 	poolMu sync.Mutex
 	pool   []*decoder.Session
 
-	served atomic.Int64 // sessions completed (for the CLI summary)
+	served atomic.Int64 // sessions finished, counted before the result is sent
 }
 
 // planBatcher is one model variant's batcher plus the count of
@@ -258,7 +258,9 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve()
 }
 
-// Served reports the number of sessions completed successfully.
+// Served reports the number of sessions completed successfully. A
+// session is counted before its result is written, so a client that
+// has read its result already sees itself here.
 func (s *Server) Served() int64 { return s.served.Load() }
 
 // Shutdown drains the server: the listener closes immediately (new
@@ -349,8 +351,8 @@ func (s *Server) releaseBatcher(plan *dnn.Plan, pb *planBatcher) {
 }
 
 // admit claims an admission slot, or explains why it cannot. On
-// success the caller owns one sessions WaitGroup count and one sem
-// slot, both returned via release.
+// success the caller owns one sessions WaitGroup count, returned with
+// sessions.Done, and one sem slot, returned with freeSlot.
 func (s *Server) admit() (ok bool, reason string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -366,10 +368,7 @@ func (s *Server) admit() (ok bool, reason string) {
 	return true, ""
 }
 
-func (s *Server) release() {
-	<-s.sem
-	s.sessions.Done()
-}
+func (s *Server) freeSlot() { <-s.sem }
 
 func (s *Server) track(conn net.Conn, add bool) {
 	s.mu.Lock()

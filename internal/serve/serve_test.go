@@ -29,7 +29,7 @@ type testFixture struct {
 	utts  []*speech.Utterance
 }
 
-func newFixture(t *testing.T) *testFixture {
+func newFixture(t testing.TB) *testFixture {
 	t.Helper()
 	cfg := speech.DefaultConfig()
 	cfg.NumPhones = 5
